@@ -17,6 +17,7 @@ with small multiplicative jitter for realism.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +81,9 @@ class PipelineModel:
         self,
         kinds: np.ndarray,
         levels: np.ndarray | None = None,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
         dram_scale: float = 1.0,
+        offsets: Sequence[int] | np.ndarray | None = None,
     ) -> np.ndarray:
         """Total pipeline latency of each op, in cycles (vectorised).
 
@@ -89,7 +91,9 @@ class PipelineModel:
         non-memory ops ignore it.  ``dram_scale`` multiplies the DRAM
         latency to model queueing under bandwidth saturation (the loaded
         latency that drives SPE sample collisions in streaming kernels);
-        see :func:`loaded_dram_scale`.
+        see :func:`loaded_dram_scale`.  With ``offsets`` (segment bounds
+        into ``kinds``), ``rng`` holds one generator per segment and each
+        segment draws its own latency jitter, in order.
         """
         if dram_scale < 1.0:
             raise MachineError("dram_scale must be >= 1")
@@ -115,7 +119,14 @@ class PipelineModel:
                     lut[int(lv)] *= dram_scale
             lat[is_mem] += lut[levels[is_mem]]
         if rng is not None and self.jitter > 0:
-            lat *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter, size=lat.shape)
+            lo, hi = 1.0 - self.jitter, 1.0 + self.jitter
+            if offsets is None:
+                rng, offsets = [rng], [0, lat.size]
+            if lat.size:
+                lat *= np.concatenate([
+                    g.uniform(lo, hi, size=c)
+                    for g, c in zip(rng, np.diff(offsets).tolist()) if c
+                ])
         return lat
 
     # -- aggregate timing --------------------------------------------------------

@@ -173,14 +173,31 @@ class StatCacheModel:
         """
         if n < 0:
             raise MachineError("n must be >= 0")
+        return self.levels_for(classes, rng.random(n), sharers=sharers)
+
+    def levels_for(
+        self,
+        classes: list[AccessClass],
+        uniforms: np.ndarray,
+        sharers: int = 1,
+    ) -> np.ndarray:
+        """Memory levels for pre-drawn uniforms in [0, 1).
+
+        The inverse-CDF step of :meth:`draw_levels`, bit-identical to
+        ``rng.choice(levels, size=n, p=pvec)`` on ``rng.random(n)`` (that
+        is how ``Generator.choice`` draws with ``p``).  Split out so a
+        phase-batched pass can draw each core's uniforms from the core's
+        own generator and map them all with one mixture vector.
+        """
         probs = self.mixture_probabilities(classes, sharers=sharers)
         # draw over the core levels only: tier attribution is a pure
         # post-hoc remap of DRAM draws, so the RNG stream (and hence
         # every flat-machine profile) stays bit-identical
         levels = np.array([int(lv) for lv in CORE_LEVELS], dtype=np.uint8)
         pvec = np.array([probs[MemLevel(lv)] for lv in levels], dtype=np.float64)
-        pvec = pvec / pvec.sum()
-        return rng.choice(levels, size=n, p=pvec)
+        cdf = (pvec / pvec.sum()).cumsum()
+        cdf /= cdf[-1]
+        return levels[cdf.searchsorted(uniforms, side="right")]
 
     def expected_latency(
         self, classes: list[AccessClass], sharers: int = 1

@@ -8,10 +8,13 @@ application) and the Table I environment settings, :class:`NmoProfiler`
    on x86) with the configured period and buffer sizes,
 2. registers the workload's data objects via ``nmo_tag_addr`` and its
    tagged phases via ``nmo_start``/``nmo_stop``,
-3. runs the workload phase by phase: per thread, the SPE sampler draws
-   samples from the closed-form op stream, the driver routes the 64-byte
-   records through aux/ring buffers (charging interrupt and processing
-   cycles to the interrupted thread), and the consumer decodes them,
+3. runs the workload phase by phase: the SPE samplers draw samples
+   from the closed-form op streams in one batched pass per group of
+   cores (:func:`~repro.spe.sampler.phase_groups`; each core keeps its
+   own generator and draw order), then per thread the driver routes the
+   64-byte records through aux/ring buffers (charging interrupt and
+   processing cycles to the interrupted thread), and the consumer
+   decodes them,
 4. tracks capacity (RSS) and bandwidth (bus-event) time series,
 5. converts SPE timestamps to perf time via the metadata page
    (``time_zero/shift/mult``) and assembles a :class:`ProfileResult`
@@ -39,6 +42,7 @@ from repro.nmo.timescale import TimescaleConverter
 from repro.nmo.tracefile import TraceData
 from repro.spe.driver import SpeCostModel, ThrottleModel
 from repro.spe.records import SampleBatch
+from repro.spe.sampler import phase_groups
 from repro.substrate.codec import register as _substrate
 from repro.workloads.base import Workload
 
@@ -257,31 +261,46 @@ class NmoProfiler:
                     ann.nmo_stop(t0)
                 ann.nmo_start(tag, t0)
                 open_tag = tag
-            for tidx in range(active):
-                thread = team[tidx]
-                src = w.op_source(phase, tidx)
+            groups = (
+                phase_groups(active, phase.n_ops, settings.period)
+                if sampling else [range(active)]
+            )
+            for cores in groups:
                 if sampling:
-                    sess = sessions[tidx]
-                    out = sess.sampler.sample_stream(src, start_cycle=thread.cycles)
-                    res = sess.driver.feed(out)
-                    st = stats[tidx]
-                    st.n_selected += out.n_selected
-                    st.n_collisions += out.n_collisions
-                    st.n_kept += out.n_kept
-                    st.n_written += res.n_written
-                    st.n_lost += res.n_lost_stall
-                    st.n_wakeups += res.n_wakeups
-                    st.overhead_cycles += res.overhead_cycles
-                    truncated += res.truncated_records
-                    if res.decode is not None:
-                        decode_skipped += res.decode.n_skipped
-                    if len(res.batch):
-                        batches.append(res.batch)
-                        batch_core_ids.append(tidx)
-                    thread.charge_overhead(res.overhead_cycles)
-                thread.advance(phase.duration_cycles())
-                n_flops = phase.n_mem_ops * phase.flops_per_group
-                thread.retire(phase.n_ops, phase.n_mem_ops, n_flops)
+                    # one batched sampler pass per group of cores, then
+                    # the per-core driver (aux/ring state is per core)
+                    members = [
+                        (sessions[c].sampler, w.op_source(phase, c),
+                         team[c].cycles)
+                        for c in cores
+                    ]
+                    lead, *peers = members
+                    outs = lead[0].sample_stream(
+                        lead[1], start_cycle=lead[2], peers=peers
+                    ).split()
+                for i, tidx in enumerate(cores):
+                    thread = team[tidx]
+                    if sampling:
+                        out = outs[i]
+                        res = sessions[tidx].driver.feed(out)
+                        st = stats[tidx]
+                        st.n_selected += out.n_selected
+                        st.n_collisions += out.n_collisions
+                        st.n_kept += out.n_kept
+                        st.n_written += res.n_written
+                        st.n_lost += res.n_lost_stall
+                        st.n_wakeups += res.n_wakeups
+                        st.overhead_cycles += res.overhead_cycles
+                        truncated += res.truncated_records
+                        if res.decode is not None:
+                            decode_skipped += res.decode.n_skipped
+                        if len(res.batch):
+                            batches.append(res.batch)
+                            batch_core_ids.append(tidx)
+                        thread.charge_overhead(res.overhead_cycles)
+                    thread.advance(phase.duration_cycles())
+                    n_flops = phase.n_mem_ops * phase.flops_per_group
+                    thread.retire(phase.n_ops, phase.n_mem_ops, n_flops)
             team.barrier()
             t1 = team.max_cycles / freq
             phase_spans.append((phase.name, tag, t0, t1))

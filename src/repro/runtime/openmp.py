@@ -35,12 +35,24 @@ def static_chunks(n_iters: int, n_threads: int) -> list[tuple[int, int]]:
     return out
 
 
-def chunk_of(n_iters: int, n_threads: int, thread: int) -> tuple[int, int]:
-    """The static chunk assigned to one thread (no list allocation)."""
-    if not 0 <= thread < n_threads:
-        raise WorkloadError(f"thread {thread} outside team of {n_threads}")
+def chunk_of(n_iters: int, n_threads: int, thread: int | np.ndarray):
+    """The static chunk assigned to one thread (no list allocation).
+
+    ``thread`` may also be an integer array (one thread id per element,
+    as in a phase-batched sampling pass); the bounds then broadcast over
+    it as two int64 arrays of the same shape.
+    """
     base = n_iters // n_threads
     rem = n_iters % n_threads
+    if np.ndim(thread):
+        t = np.asarray(thread, dtype=np.int64)
+        if t.size and (t.min() < 0 or t.max() >= n_threads):
+            raise WorkloadError(f"thread ids outside team of {n_threads}")
+        lead = t < rem
+        start = np.where(lead, t * (base + 1), rem * (base + 1) + (t - rem) * base)
+        return start, start + base + lead
+    if not 0 <= thread < n_threads:
+        raise WorkloadError(f"thread {thread} outside team of {n_threads}")
     if thread < rem:
         start = thread * (base + 1)
         return start, start + base + 1

@@ -18,14 +18,17 @@ Implements the hardware flow of paper Fig. 1 for one core:
 The sampler never materialises the full op stream: it draws sample
 *positions* arithmetically and asks an :class:`OpSource` to describe just
 those operations, which is what lets the reproduction sample workloads
-with 10^10+ operations.
+with 10^10+ operations.  Several cores running the same phase can be
+sampled in one pass (``SpeSampler.sample_stream(..., peers=...)``):
+positions and random draws stay per core, everything else runs once
+over the joined segments.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -55,14 +58,21 @@ class OpSource(Protocol):
     def ops_at(
         self, idx: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(kinds uint8, addrs uint64) of the ops at global indices."""
+        """(kinds uint8, addrs uint64) of the ops at global indices.
+
+        Must not draw from ``rng``: a phase-batched pass describes
+        several cores' ops in one call."""
         ...
 
     def levels_at(
         self, idx: np.ndarray, kinds: np.ndarray, addrs: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | Sequence[np.random.Generator],
+        offsets: Sequence[int] | np.ndarray | None = None,
     ) -> np.ndarray:
-        """MemLevel uint8 per op (0 where not a memory op)."""
+        """MemLevel uint8 per op (0 where not a memory op).
+
+        With ``offsets`` (segment bounds into ``idx``), ``rng`` is one
+        generator per segment and each segment draws from its own."""
         ...
 
     def pcs_at(self, idx: np.ndarray) -> np.ndarray:
@@ -89,7 +99,7 @@ class TraceOpSource:
     def ops_at(self, idx, rng):
         return self._kinds[idx], self._addrs[idx]
 
-    def levels_at(self, idx, kinds, addrs, rng):
+    def levels_at(self, idx, kinds, addrs, rng, offsets=None):
         return self._levels[idx]
 
     def pcs_at(self, idx):
@@ -181,108 +191,167 @@ def _reference_collision_scan(
 _SCAN_BLOCK = 16384
 #: estimated keep fraction below which the lazy per-step search wins
 _SCAN_SPARSE_FRAC = 1 / 16
+#: cap on the expected selected positions of one phase-batched pass
+#: (:func:`phase_groups`), which bounds a group's working arrays the way
+#: ``_SCAN_BLOCK`` bounds the successor-map temporaries
+_GROUP_POSITIONS = 32768
 
 
-def _successor_blocks(t: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Successor map ``f[j]`` = first index whose select time clears the
-    tracker freed by a kept sample at ``j`` (computed vectorized in
-    blocks; clamped strictly forward so zero-latency ties cannot stall
-    the chain)."""
-    n = t.shape[0]
-    f = np.empty(n, dtype=np.int64)
-    for s in range(0, n, _SCAN_BLOCK):
-        eb = end[s : s + _SCAN_BLOCK]
-        f[s : s + eb.shape[0]] = np.searchsorted(t, eb, side="left")
-    np.maximum(f, np.arange(1, n + 1, dtype=np.int64), out=f)
-    return f
+def _segment_successors(
+    t: np.ndarray, end: np.ndarray, a: int, b: int, f: np.ndarray
+) -> None:
+    """Fill ``f[a:b]`` with the successor map of segment ``[a, b)``.
+
+    ``f[j]`` = first index of the segment whose select time clears the
+    tracker freed by a kept sample at ``j``, or ``b`` (the next
+    segment's first sample, always kept) when none does.  Dense
+    segments get it vectorized in blocks (clamped strictly forward so
+    zero-latency ties cannot stall the chain); collision-heavy segments
+    of at least 4096 samples, found by a strided density probe, get
+    their kept chain linked in directly via a lazy C ``bisect`` per kept
+    sample.  A bail-out bound (chain much longer than the probe
+    predicted) falls back to the dense map.
+    """
+    m = b - a
+    if m >= 4096:
+        # strided probe of the overlap ratio: keep rate of the renewal
+        # process is ~ 1 / (1 + E[lat] / E[gap])
+        stride = max(1, m // 512)
+        probe = np.arange(a, b - 1, stride)
+        gap_mean = float(np.mean(t[probe + 1] - t[probe]))
+        lat_mean = float(np.mean(end[probe] - t[probe]))
+        est_frac = 1.0 / (1.0 + lat_mean / max(gap_mean, 1e-300))
+        if est_frac <= _SCAN_SPARSE_FRAC:
+            chain = _sparse_chain_walk(
+                t, end, a, b, bail=int(2.5 * est_frac * m) + 1024
+            )
+            if chain is not None:
+                f[chain[:-1]] = chain[1:]
+                f[chain[-1]] = b
+                return
+    ts = t[a:b]
+    for s in range(a, b, _SCAN_BLOCK):
+        eb = end[s : min(s + _SCAN_BLOCK, b)]
+        f[s : s + eb.shape[0]] = np.searchsorted(ts, eb, side="left") + a
+    np.maximum(f[a:b], np.arange(a + 1, b + 1, dtype=np.int64), out=f[a:b])
 
 
 def collision_scan(
-    select_cycles: np.ndarray, latencies: np.ndarray
+    select_cycles: np.ndarray,
+    latencies: np.ndarray,
+    offsets: Sequence[int] | np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Greedy in-flight tracking: drop samples that arrive while busy.
 
     ``select_cycles`` are the (sorted) cycle times at which the interval
     counter fired; ``latencies`` the pipeline lifetime of each selected
     op.  Only a *kept* sample occupies the tracker.  Returns (keep mask,
-    number of collisions).
+    number of collisions).  ``offsets`` (``k + 1`` non-decreasing
+    bounds from 0 to ``n``) splits the input into ``k`` independent
+    segments — one per core of a phase-batched pass — each sorted on its
+    own and scanned with its own tracker; None means one segment.
 
-    Bit-identical to :func:`_reference_collision_scan` but never walks
-    the full stream in Python.  The key structural fact: because
-    ``select_cycles`` is sorted, a kept sample at ``j`` drops exactly
-    the *contiguous* run of following samples with ``t < t[j] + lat[j]``
-    — so the kept set is the orbit of index 0 under a "next kept"
-    successor map, and only the ``n_kept`` chain nodes need any scalar
-    work.  Two exact strategies, picked by a cheap density probe:
+    Bit-identical, segment by segment, to
+    :func:`_reference_collision_scan` but never walks the full stream in
+    Python.  The key structural fact: because a segment's select times
+    are sorted, a kept sample at ``j`` drops exactly the *contiguous*
+    run of following samples with ``t < t[j] + lat[j]`` — so the kept
+    set is the orbit of index 0 under a "next kept" successor map, and
+    only the chain nodes need any scalar work.  Per segment:
 
-    * **dense** (many survivors): the successor map is materialised with
-      blocked vectorized ``searchsorted`` passes and the chain is walked
-      through a memoryview (O(1) per *kept* sample);
-    * **sparse** (collision-heavy): the successor of each chain node is
-      found lazily with a C ``bisect`` per kept sample, skipping the
-      per-element ``searchsorted`` cost entirely.  A bail-out bound
-      (chain much longer than the probe predicted) falls back to the
-      dense strategy, so adversarial inputs degrade gracefully.
+    * **fast path**: no gap shorter than the segment's longest latency
+      means no overlap; the segment is kept whole and the chain jumps
+      over it in one step (found for all segments in one vectorized
+      pass);
+    * otherwise the successor map is built by
+      :func:`_segment_successors` (dense or sparse, by a density probe),
+      searching only within the segment and ending at the next
+      segment's first sample.
+
+    One chain walk over the joined successor map then covers every
+    segment.
     """
-    if reference_active():
-        return _reference_collision_scan(select_cycles, latencies)
     n = select_cycles.shape[0]
+    bounds = np.asarray([0, n] if offsets is None else offsets, dtype=np.int64)
+    if reference_active():
+        keep = np.zeros(n, dtype=bool)
+        collisions = 0
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            keep[a:b], c = _reference_collision_scan(
+                select_cycles[a:b], latencies[a:b]
+            )
+            collisions += c
+        return keep, collisions
     if n == 0:
         return np.zeros(0, dtype=bool), 0
-    gaps = np.diff(select_cycles)
-    if gaps.size == 0 or gaps.min() >= latencies.max():
-        return np.ones(n, dtype=bool), 0  # fast path: no overlap possible
     t = np.ascontiguousarray(select_cycles, dtype=np.float64)
-    end = t + np.asarray(latencies, dtype=np.float64)
-
-    kept: list[int] | None = None
-    if n >= 4096:
-        # strided probe of the overlap ratio: keep rate of the renewal
-        # process is ~ 1 / (1 + E[lat] / E[gap])
-        stride = max(1, n // 512)
-        probe = np.arange(0, n - 1, stride)
-        gap_mean = float(np.mean(t[probe + 1] - t[probe]))
-        lat_mean = float(np.mean(end[probe] - t[probe]))
-        est_frac = 1.0 / (1.0 + lat_mean / max(gap_mean, 1e-300))
-        if est_frac <= _SCAN_SPARSE_FRAC:
-            kept = _sparse_chain_walk(
-                t, end, bail=int(2.5 * est_frac * n) + 1024
-            )
-    if kept is None:
-        f = memoryview(_successor_blocks(t, end))
-        kept = []
-        append = kept.append
-        j = 0
-        while j < n:
-            append(j)
-            j = f[j]
-    keep = np.zeros(n, dtype=bool)
+    lat = np.asarray(latencies, dtype=np.float64)
+    sizes = np.diff(bounds)
+    live = sizes > 0
+    starts, sizes = bounds[:-1][live], sizes[live]
+    seg = np.repeat(np.arange(starts.size), sizes)
+    tight = np.diff(t) < np.maximum.reduceat(lat, starts)[seg[:-1]]
+    tight &= seg[1:] == seg[:-1]  # gaps inside one segment only
+    if not tight.any():
+        return np.ones(n, dtype=bool), 0  # fast path: no overlap possible
+    slow = np.zeros(starts.size, dtype=bool)
+    slow[seg[:-1][tight]] = True
+    ends = starts + sizes
+    f = np.arange(1, n + 1, dtype=np.int64)
+    f[starts[~slow]] = ends[~slow]  # collision-free segments: one hop
+    end = t + lat
+    for a, b in zip(starts[slow].tolist(), ends[slow].tolist()):
+        _segment_successors(t, end, a, b, f)
+    fv = memoryview(f)
+    kept = []
+    append = kept.append
+    j = 0
+    while j < n:
+        append(j)
+        j = fv[j]
+    keep = np.repeat(~slow, sizes)
     keep[kept] = True
-    return keep, n - len(kept)
+    return keep, n - int(np.count_nonzero(keep))
 
 
 def _sparse_chain_walk(
-    t: np.ndarray, end: np.ndarray, bail: int
+    t: np.ndarray, end: np.ndarray, a: int, b: int, bail: int
 ) -> list[int] | None:
-    """Kept-chain indices via lazy per-node bisect; None past ``bail``."""
+    """Kept-chain indices of segment ``[a, b)`` via lazy per-node
+    bisect; None past ``bail``."""
     haystack = memoryview(t)
     targets = memoryview(end)
-    n = t.shape[0]
     kept: list[int] = []
     append = kept.append
     search = bisect.bisect_left
-    j = 0
-    while j < n:
+    j = a
+    while j < b:
         if len(kept) > bail:
             return None  # probe misjudged the density: redo vectorized
         append(j)
-        j = search(haystack, targets[j], j + 1)
+        j = search(haystack, targets[j], j + 1, b)
     return kept
+
+
+def phase_groups(n_cores: int, n_ops: int, period: int) -> list[range]:
+    """Runs of consecutive cores sampled together in one batched pass.
+
+    A group's expected selected positions (``n_ops // period`` per core)
+    stay within :data:`_GROUP_POSITIONS`; a core expecting more forms a
+    group alone, so bulk streams keep the per-core working-set size.
+    Under :func:`~repro.spe.refpath.reference_path` every core is its own
+    group: the reference side of the golden-parity suite keeps the
+    per-(phase, thread) sampler as its oracle.
+    """
+    per_core = max(1, n_ops // max(1, period))
+    size = 1 if reference_active() else max(1, _GROUP_POSITIONS // per_core)
+    return [range(c, min(c + size, n_cores)) for c in range(0, n_cores, size)]
 
 
 @dataclass
 class SamplerOutput:
-    """Result of sampling one op stream on one core."""
+    """Result of sampling one op stream on one core (or, from a
+    phase-batched pass, several cores' streams joined in core order)."""
 
     batch: SampleBatch            #: samples that survived collisions + filter
     arrival_cycles: np.ndarray    #: absolute cycle time each record completes
@@ -290,10 +359,35 @@ class SamplerOutput:
     n_collisions: int             #: dropped while tracker busy (pre-filter)
     n_filtered: int               #: dropped by the event filter
     duration_cycles: float        #: op-stream execution span covered
+    #: per-core (kept, selected, collisions, filtered) rows of a batched
+    #: pass over several cores; None for one core
+    segments: np.ndarray | None = None
 
     @property
     def n_kept(self) -> int:
         return len(self.batch)
+
+    def split(self) -> list["SamplerOutput"]:
+        """One output per core, in core order (``[self]`` for one core).
+
+        Each core's batch and arrival times are views into this one's.
+        """
+        if self.segments is None:
+            return [self]
+        bounds = np.concatenate(([0], np.cumsum(self.segments[:, 0]))).tolist()
+        return [
+            SamplerOutput(
+                batch=self.batch.select(slice(a, b)),
+                arrival_cycles=self.arrival_cycles[a:b],
+                n_selected=sel,
+                n_collisions=col,
+                n_filtered=filt,
+                duration_cycles=self.duration_cycles,
+            )
+            for a, b, (_kept, sel, col, filt) in zip(
+                bounds[:-1], bounds[1:], self.segments.tolist()
+            )
+        ]
 
 
 class SpeSampler:
@@ -338,13 +432,50 @@ class SpeSampler:
         return mask
 
     def sample_stream(
-        self, source: OpSource, start_cycle: float = 0.0
+        self,
+        source: OpSource,
+        start_cycle: float = 0.0,
+        peers: Sequence[tuple[SpeSampler, OpSource, float]] = (),
     ) -> SamplerOutput:
-        """Sample one op stream starting at ``start_cycle`` (core clock)."""
-        pos, self._carry = self.strategy.sample(
-            source, self.period, self.config.jitter, self.rng, self._carry
-        )
-        n_selected = int(pos.size)
+        """Sample one op stream starting at ``start_cycle`` (core clock).
+
+        ``peers`` adds more cores to the same pass: ``(sampler, source,
+        start_cycle)`` triples for other threads of the same phase, each
+        source a :meth:`~repro.workloads.base.PhaseOpSource.with_thread`
+        view of ``source``'s stream and each sampler with its own
+        generator and this sampler's config.  The stages:
+
+        1. positions, per core, from the core's strategy, generator and
+           carried counter (these give the segment sizes);
+        2. ops, PCs, levels mapping, latencies, the collision scan and
+           the filter, once over the joined positions, with per-core
+           segment offsets;
+        3. inside stage 2, each core draws its level uniforms and then
+           its latency jitter from its own generator.
+
+        Every core's RNG sequence is therefore positions, levels, jitter
+        — exactly what it draws when sampled alone — and the result
+        equals the per-core calls byte for byte.  The returned output
+        covers all cores; :meth:`SamplerOutput.split` gives one per core.
+        """
+        members = [(self, source, start_cycle), *peers]
+        for sampler, _src, _start in peers:
+            if (sampler.config != self.config
+                    or sampler.track_collisions != self.track_collisions):
+                raise SpeError("batched samplers must share one configuration")
+        rngs = [m[0].rng for m in members]
+        if len({id(g) for g in rngs}) != len(rngs):
+            raise SpeError("batched samplers need one generator per core")
+        parts = []
+        for sampler, src, _start in members:
+            pos, sampler._carry = sampler.strategy.sample(
+                src, sampler.period, sampler.config.jitter, sampler.rng,
+                sampler._carry,
+            )
+            parts.append(pos)
+        sizes = np.array([p.size for p in parts], dtype=np.int64)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        n_selected = int(offsets[-1])
         duration = source.n_ops * source.cpi
         if n_selected == 0:
             return SamplerOutput(
@@ -354,17 +485,25 @@ class SpeSampler:
                 n_collisions=0,
                 n_filtered=0,
                 duration_cycles=duration,
+                segments=np.zeros((len(members), 4), dtype=np.int64)
+                if peers else None,
             )
+        pos = parts[0]
+        if peers:
+            pos = np.concatenate(parts)
+            threads = [src.thread for _s, src, _c in members]
+            source = source.with_thread(np.repeat(threads, sizes))
         kinds, addrs = source.ops_at(pos, self.rng)
-        levels = source.levels_at(pos, kinds, addrs, self.rng)
+        levels = source.levels_at(pos, kinds, addrs, rngs, offsets)
         dram_scale = float(getattr(source, "dram_latency_scale", 1.0))
         lat = self.pipeline.op_latencies(
-            kinds, levels, rng=self.rng, dram_scale=dram_scale
+            kinds, levels, rng=rngs, dram_scale=dram_scale, offsets=offsets
         )
 
-        select_cycles = start_cycle + pos.astype(np.float64) * source.cpi
+        starts = np.array([m[2] for m in members], dtype=np.float64)
+        select_cycles = np.repeat(starts, sizes) + pos.astype(np.float64) * source.cpi
         if self.track_collisions:
-            keep, n_collisions = collision_scan(select_cycles, lat)
+            keep, n_collisions = collision_scan(select_cycles, lat, offsets)
         else:
             keep = np.ones(n_selected, dtype=bool)
             n_collisions = 0
@@ -392,6 +531,15 @@ class SpeSampler:
             total_lat=total_lat[fmask],
             issue_lat=issue_lat,
         )
+        segments = None
+        if peers:
+            passed = keep.copy()
+            passed[keep] = fmask
+            seg_kept = np.diff(np.concatenate(([0], np.cumsum(keep)))[offsets])
+            seg_passed = np.diff(np.concatenate(([0], np.cumsum(passed)))[offsets])
+            segments = np.stack([
+                seg_passed, sizes, sizes - seg_kept, seg_kept - seg_passed
+            ], axis=1)
         return SamplerOutput(
             batch=batch,
             arrival_cycles=retire_cycles,
@@ -399,4 +547,5 @@ class SpeSampler:
             n_collisions=n_collisions,
             n_filtered=n_filtered,
             duration_cycles=duration,
+            segments=segments,
         )

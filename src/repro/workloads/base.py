@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,19 +33,25 @@ from repro.machine.statcache import AccessClass, StatCacheModel
 from repro.runtime.process import SimProcess
 
 #: Address-function signature: (mem-op indices, thread id) -> uint64 addrs.
-AddrFn = Callable[[np.ndarray, int], np.ndarray]
-#: Optional kind function: (mem-op indices, thread id) -> bool store mask.
-KindFn = Callable[[np.ndarray, int], np.ndarray]
+#: ``thread`` is an int, or an int64 array aligned with the mem-op indices
+#: when a phase-batched sampling pass evaluates several threads in one
+#: call; the result must equal the per-thread scalar calls element-wise.
+AddrFn = Callable[[np.ndarray, "int | np.ndarray"], np.ndarray]
+#: Optional kind function: (mem-op indices, thread id) -> bool store mask;
+#: ``thread`` as for :data:`AddrFn`.
+KindFn = Callable[[np.ndarray, "int | np.ndarray"], np.ndarray]
 
 
-def hash_uniform(idx: np.ndarray, salt: int = 0) -> np.ndarray:
+def hash_uniform(idx: np.ndarray, salt=0) -> np.ndarray:
     """Deterministic pseudo-uniform floats in [0, 1) from op indices.
 
     A splitmix64-style mix keeps address/kind functions reproducible
     across calls (the same op index always maps to the same access),
-    which property tests rely on.
+    which property tests rely on.  ``salt`` is an int or a non-negative
+    int array broadcast against ``idx`` (per-element salts).
     """
-    x = (np.asarray(idx, dtype=np.uint64) + np.uint64(salt)) * np.uint64(
+    salt = np.asarray(salt).astype(np.uint64)
+    x = (np.asarray(idx, dtype=np.uint64) + salt) * np.uint64(
         0x9E3779B97F4A7C15
     )
     x ^= x >> np.uint64(30)
@@ -157,12 +163,17 @@ class PhaseOpSource:
     :meth:`Workload.attach_tiering`) remaps DRAM-serviced samples to the
     memory tier holding their page, so SPE records carry the tier that
     serviced each access; ``None`` keeps the flat single-tier levels.
+
+    ``thread`` may be an int64 array instead of an int: the source then
+    describes several threads of the phase at once, one thread id per
+    op index of the next ``ops_at``/``levels_at`` call (see
+    :meth:`with_thread`; the phase-batched sampler uses this).
     """
 
     def __init__(
         self,
         phase: Phase,
-        thread: int,
+        thread: int | np.ndarray,
         stat: StatCacheModel,
         sharers: int = 1,
         placement=None,
@@ -175,6 +186,14 @@ class PhaseOpSource:
         self.n_ops = phase.n_ops
         self.cpi = phase.cpi
         self.dram_latency_scale = phase.dram_latency_scale
+
+    def with_thread(self, thread: int | np.ndarray) -> PhaseOpSource:
+        """The same phase stream seen from ``thread`` (an int, or one
+        thread id per op index of a batched call)."""
+        return PhaseOpSource(
+            self.phase, thread, self.stat, sharers=self.sharers,
+            placement=self.placement,
+        )
 
     def ops_at(self, idx: np.ndarray, rng: np.random.Generator):
         idx = np.asarray(idx, dtype=np.int64)
@@ -194,27 +213,49 @@ class PhaseOpSource:
         if p.flops_per_group:
             rel = (pos - mem_slot) % p.group
             kinds[(rel >= 1) & (rel <= p.flops_per_group)] = OpKind.FLOP
+        addrs = np.zeros(idx.shape, dtype=np.uint64)
         if is_mem.any():
             mi = mem_idx[is_mem]
+            thread = self.thread
+            if np.ndim(thread):  # one thread id per op index
+                thread = np.asarray(thread, dtype=np.int64)[is_mem]
             if p.kind_fn is not None:
-                stores = p.kind_fn(mi, self.thread)
+                stores = p.kind_fn(mi, thread)
             else:
                 stores = hash_uniform(mi, salt=17) < p.store_fraction
             kinds[is_mem] = np.where(stores, OpKind.STORE, OpKind.LOAD).astype(
                 np.uint8
             )
-        addrs = np.zeros(idx.shape, dtype=np.uint64)
-        if is_mem.any():
-            addrs[is_mem] = p.addr_fn(mem_idx[is_mem], self.thread)
+            addrs[is_mem] = p.addr_fn(mi, thread)
         return kinds, addrs
 
-    def levels_at(self, idx, kinds, addrs, rng: np.random.Generator):
+    def levels_at(
+        self,
+        idx: np.ndarray,
+        kinds: np.ndarray,
+        addrs: np.ndarray,
+        rng: np.random.Generator | Sequence[np.random.Generator],
+        offsets: Sequence[int] | np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Memory level per op (0 for non-memory ops).
+
+        With ``offsets`` (segment bounds into ``idx``: ``k + 1``
+        non-decreasing ints from 0 to ``len(idx)``), ``rng`` holds one
+        generator per segment and each segment's memory ops draw their
+        uniforms from their own generator, in order; the draws are then
+        mapped to levels in one pass.
+        """
         levels = np.zeros(np.asarray(idx).shape, dtype=np.uint8)
         is_mem = (kinds == OpKind.LOAD) | (kinds == OpKind.STORE)
         n_mem = int(is_mem.sum())
         if n_mem:
-            levels[is_mem] = self.stat.draw_levels(
-                self.phase.classes, n_mem, rng, sharers=self.sharers
+            if offsets is None:
+                rng, offsets = [rng], [0, is_mem.size]
+            seen = np.concatenate(([0], np.cumsum(is_mem)))
+            counts = np.diff(seen[np.asarray(offsets)]).tolist()
+            u = np.concatenate([g.random(c) for g, c in zip(rng, counts) if c])
+            levels[is_mem] = self.stat.levels_for(
+                self.phase.classes, u, sharers=self.sharers
             )
             if self.placement is not None:
                 # tier attribution: a DRAM-serviced sample reports the

@@ -20,6 +20,7 @@ from repro.nmo.profiler import NmoProfiler
 from repro.orchestrate.cache import ResultCache
 from repro.spe.driver import SpeCostModel
 from repro.spe.refpath import reference_path
+from repro.workloads.bfs import BfsWorkload
 from repro.workloads.stream import StreamWorkload
 
 
@@ -78,6 +79,24 @@ class TestProfileGoldenParity:
         with reference_path():
             ref = profile(ampere, **kw)
         assert got.truncated > 0
+        assert_profiles_identical(got, ref)
+
+    def test_bfs_32_threads_batched_vs_singleton_groups(self, ampere):
+        # the fast side samples each phase's 32 cores in one batched
+        # pass; the reference side (singleton groups) samples them one
+        # core at a time, as the per-(phase, thread) sampler did
+        def run():
+            w = BfsWorkload(ampere, n_threads=32, scale=1 / 16)
+            settings = NmoSettings(
+                enable=True, mode=NmoMode.SAMPLING, period=256
+            )
+            return NmoProfiler(w, settings, seed=0).run()
+
+        got = run()
+        with reference_path():
+            ref = run()
+        assert got.n_samples > 0
+        assert len({int(c) for c in got.sample_cores}) == 32
         assert_profiles_identical(got, ref)
 
 
