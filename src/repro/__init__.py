@@ -34,8 +34,8 @@ it needs, as a simulation stack (see DESIGN.md):
     Multi-tenant co-location: interleaved processes competing for a
     contention-aware shared DRAM channel.
 ``repro.substrate``
-    Zero-copy result substrate: the columnar payload format, the
-    pickle-parity codec, and the shared-memory result transport.
+    Zero-copy result substrate: the columnar payload format and the
+    pickle-parity codec behind the result cache's mmap'd sidecars.
 
 Quickstart::
 

@@ -43,7 +43,7 @@ from typing import Any, Iterator
 from repro.errors import ServeError
 from repro.scenarios.spec import ScenarioSpec
 from repro.serve import protocol
-from repro.serve.client import RunOutcome
+from repro.serve.client import JobClient
 from repro.serve.policy import RetryPolicy
 from repro.serve.server import ServerBase
 
@@ -242,7 +242,7 @@ class HttpGateway:
         self.stop()
 
 
-class HttpClusterClient:
+class HttpClusterClient(JobClient):
     """Typed HTTP client mirroring :class:`~repro.serve.ServerClient`.
 
     Same methods, same :class:`~repro.errors.ServeError` structured
@@ -274,18 +274,6 @@ class HttpClusterClient:
     def _connection(self) -> HTTPConnection:
         return HTTPConnection(self.host, self.port, timeout=self.timeout)
 
-    @staticmethod
-    def _checked(raw: bytes) -> dict[str, Any]:
-        response = protocol.decode_message(raw)
-        if response.get("ok"):
-            return response
-        err = response.get("error") or {}
-        raise ServeError(
-            err.get("reason", "server reported an error"),
-            code=err.get("code", "bad_request"),
-            **{k: v for k, v in err.items() if k not in ("code", "reason")},
-        )
-
     def _request(
         self, method: str, path: str, body: dict | None = None
     ) -> dict[str, Any]:
@@ -299,7 +287,8 @@ class HttpClusterClient:
                     {"Content-Type": "application/json"} if payload else {}
                 )
                 conn.request(method, path, body=payload, headers=headers)
-                return self._checked(conn.getresponse().read())
+                raw = conn.getresponse().read()
+                return self._checked(protocol.decode_message(raw))
             finally:
                 conn.close()
 
@@ -370,7 +359,8 @@ class HttpClusterClient:
             conn.request("GET", f"/v1/jobs/{job_id}/stream")
             response = conn.getresponse()
             if response.status != 200:
-                self._checked(response.read())  # raises the structured error
+                # raises the structured error
+                self._checked(protocol.decode_message(response.read()))
                 raise ServeError("stream failed without a structured error")
             while True:
                 line = response.readline(protocol.MAX_LINE_BYTES + 1)
@@ -378,39 +368,10 @@ class HttpClusterClient:
                     return
                 event = protocol.decode_message(line)
                 if "event" not in event:
-                    self._checked(line)  # the ack (or an error)
+                    self._checked(event)  # the ack (or an error)
                     continue
                 yield event
                 if event.get("event") == "end":
                     return
         finally:
             conn.close()
-
-    # -- convenience -------------------------------------------------------
-
-    def run(
-        self,
-        spec: ScenarioSpec | dict,
-        priority: int = 0,
-        tenant: str | None = None,
-    ) -> RunOutcome:
-        """Submit, stream every row, then fetch the final results."""
-        ack = self.submit(spec, priority=priority, tenant=tenant)
-        job_id = ack["job_id"]
-        rows: list[dict] = []
-        state = "running"
-        error = None
-        for event in self.stream(job_id):
-            if event.get("event") == "row":
-                rows.append(
-                    {k: event[k] for k in ("index", "cached", "row")}
-                )
-            else:
-                state = event.get("state", "done")
-                error = event.get("error")
-        report = None
-        if state in ("done", "partial"):
-            report = self.results(job_id).get("report")
-        return RunOutcome(
-            job_id=job_id, state=state, rows=rows, report=report, error=error
-        )

@@ -142,6 +142,6 @@ class SubstrateError(ReproError):
     """Columnar result-substrate failure (corrupt payload, unknown
     format version, unencodable object).
 
-    The transport and cache layers treat this as "payload is not
-    columnar" and fall back to pickle rather than failing the trial.
+    The result cache treats this as "payload is not columnar" and
+    falls back to pickle rather than failing the lookup.
     """

@@ -5,9 +5,13 @@ paper exhibit computes; this package decides *how* the grid of
 independent trials actually runs:
 
 :class:`ParallelRunner`
-    Fans :class:`TrialSpec` lists out over a process pool with
+    Fans :class:`TrialSpec` lists out over a :class:`WorkerPool` with
     deterministic per-trial seeding and spec-order result collection,
     so ``workers=N`` is byte-identical to the serial run.
+:class:`WorkerPool`
+    The one multi-process executor: crash-tolerant workers reporting
+    ``done``/``error``/``lost`` events, opened per ``map`` call or kept
+    across jobs by a long-running driver such as the serve scheduler.
 :class:`ResultCache`
     A content-addressed on-disk store keyed by (experiment, config,
     seed, package version); repeated invocations become cache hits,

@@ -1,15 +1,14 @@
 """Persistent worker pool: long-lived processes shared across jobs.
 
-:class:`~repro.orchestrate.runner.ParallelRunner` historically built a
-fresh :class:`~concurrent.futures.ProcessPoolExecutor` per ``map`` call
-and tore it down afterwards — fine for one-shot figure runs, fatal for
-a long-running profiling service where every submitted job would pay
-pool spin-up and leak teardown races.  :class:`WorkerPool` is the
-persistent replacement:
+:class:`WorkerPool` is the one multi-process executor in the package.
+:meth:`~repro.orchestrate.runner.ParallelRunner.map` with ``workers >
+1`` opens one for the duration of the call, and a long-running driver
+(the serve scheduler, or any ``ParallelRunner(pool=...)`` caller) keeps
+one across jobs so it never pays pool spin-up or teardown per job:
 
-* workers are plain ``multiprocessing`` processes created **once** and
-  reused across an arbitrary number of jobs — worker PIDs stay stable
-  and no descriptors accumulate per job (pinned by
+* workers are plain ``multiprocessing`` processes created **once** per
+  pool and reused across an arbitrary number of jobs — worker PIDs
+  stay stable and no descriptors accumulate per job (pinned by
   ``tests/orchestrate/test_worker_pool.py``),
 * task completion is reported as an *event stream*
   (``done`` / ``error`` / ``lost``), which is what lets the serve
@@ -25,14 +24,14 @@ tuples ``(kind, task_id, payload)`` where payload is the result
 (``done``), the raised exception or its string rendering (``error``),
 or a human-readable loss reason (``lost``).
 
-Large ``done`` payloads do not travel through the event pipe: workers
-encode them into the columnar substrate format and ship only a
-:class:`~repro.substrate.ShmResult` handle to a shared-memory segment
-(see :mod:`repro.substrate.shm`); the parent reattaches and decodes at
-the single delivery point in :meth:`WorkerPool.next_event`.  Results
-the substrate cannot encode — and any payload when
-``REPRO_RESULT_TRANSPORT=pickle`` is set — fall back to ordinary
-pickling over the pipe.
+Everything that crosses a process boundary is pickled exactly once, at
+a point that can report failure: the parent pickles ``(fn, arg)`` in
+:meth:`WorkerPool.submit`, the worker pickles its result (or
+exception), and the parent unpickles at the single delivery point in
+:meth:`WorkerPool.next_event`.  Only bytes ride the queues, so the
+queues' feeder threads can never fail silently; a task, result or
+exception that does not survive pickling turns into an ``error`` event
+for that task instead of a task outstanding forever.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ import queue as queuelib
 import time
 from typing import Any, Callable
 
-from repro.errors import ReproError, SubstrateError
-from repro.substrate import shm as _shm
+from repro.errors import ReproError
 
 #: event kinds a pool can report for a submitted task
 EVENT_KINDS = ("done", "error", "lost")
@@ -55,31 +53,44 @@ EVENT_KINDS = ("done", "error", "lost")
 _STOP = None  # sentinel a worker interprets as "exit the loop"
 
 
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _dumps(obj: Any) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def _worker_main(tasks: mp.Queue, events: mp.Queue) -> None:
-    """Worker loop: pull ``(task_id, fn, arg)``, announce, run, report.
+    """Worker loop: pull ``(task_id, task bytes)``, announce, run, report.
 
     The ``start`` announcement (carrying the worker PID) is what lets
-    the parent attribute an in-flight task to a worker that later dies;
-    exceptions are shipped back pickled when possible, as strings
-    otherwise, so one bad trial never wedges the pool.
+    the parent attribute an in-flight task to a worker that later dies.
+    The result or exception is pickled here, where a failure can still
+    be reported: an exception that cannot pickle ships as its string
+    rendering, a result that cannot pickle as an ``error``, so one bad
+    trial never wedges the pool.
     """
     while True:
         item = tasks.get()
         if item is _STOP:
             break
-        task_id, fn, arg = item
+        task_id, task = item
         events.put(("start", task_id, os.getpid()))
         try:
-            result = fn(arg)
+            fn, arg = pickle.loads(task)
+            kind, payload = "done", fn(arg)
         except BaseException as exc:  # noqa: BLE001 - shipped to parent
-            try:
-                pickle.dumps(exc)
-                payload: Any = exc
-            except Exception:
-                payload = f"{type(exc).__name__}: {exc}"
-            events.put(("error", task_id, payload))
-        else:
-            events.put(("done", task_id, _shm.marshal(result)))
+            kind, payload = "error", exc
+        try:
+            data = _dumps(payload)
+        except Exception as exc:
+            if kind == "done":
+                payload = f"result cannot be pickled: {_describe(exc)}"
+            else:
+                payload = _describe(payload)
+            kind, data = "error", _dumps(payload)
+        events.put((kind, task_id, data))
 
 
 class WorkerPool:
@@ -87,9 +98,11 @@ class WorkerPool:
 
     ``submit`` returns a task id; ``next_event`` delivers completions
     in whatever order workers finish.  The pool never raises on a
-    worker crash — it reports a ``lost`` event for the task the dead
-    worker was running and respawns a replacement, so callers decide
-    the policy (retry, degrade, fail).
+    worker crash or an unpicklable task — it reports a ``lost`` event
+    for the task the dead worker was running (and respawns a
+    replacement) or an ``error`` event for the task that cannot cross
+    the process boundary, so callers decide the policy (retry,
+    degrade, fail).
     """
 
     def __init__(self, workers: int = 2, ctx: str | None = None) -> None:
@@ -106,8 +119,9 @@ class WorkerPool:
         self._started: dict[int, int] = {}
         #: task ids submitted and not yet reported done/error/lost
         self._outstanding: set[int] = set()
-        #: losses detected but not yet delivered via next_event
-        self._lost_backlog: collections.deque = collections.deque()
+        #: terminal events decided in the parent (losses, unpicklable
+        #: tasks) and not yet delivered via next_event
+        self._backlog: collections.deque = collections.deque()
         self._closed = False
         for _ in range(workers):
             self._spawn()
@@ -126,7 +140,11 @@ class WorkerPool:
         return [p.pid for p in self._procs if p.is_alive()]
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop every worker; idempotent."""
+        """Stop every worker; idempotent.
+
+        Workers finish the tasks already queued, then exit; any still
+        alive after ``timeout`` seconds are terminated.
+        """
         if self._closed:
             return
         self._closed = True
@@ -141,12 +159,6 @@ class WorkerPool:
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=1.0)
-        while True:  # undelivered results may hold shared-memory segments
-            try:
-                ev = self._events.get_nowait()
-            except (queuelib.Empty, ValueError, OSError):
-                break
-            _shm.discard(ev[2])
         for q in (self._tasks, self._events):
             q.close()
             q.cancel_join_thread()
@@ -155,18 +167,31 @@ class WorkerPool:
     def __enter__(self) -> "WorkerPool":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        # a block that raised abandons its queued tasks: stop at once
+        # instead of letting the workers drain them
+        self.close(timeout=0.0 if exc_type is not None else 5.0)
 
     # -- task flow ---------------------------------------------------------
 
     def submit(self, fn: Callable[[Any], Any], arg: Any) -> int:
-        """Queue one task; returns its id (matched by later events)."""
+        """Queue one task; returns its id (matched by later events).
+
+        Never raises for the task itself: a ``(fn, arg)`` that cannot
+        be pickled is reported as that task's ``error`` event.
+        """
         if self._closed:
             raise ReproError("worker pool is closed")
         task_id = next(self._task_ids)
         self._outstanding.add(task_id)
-        self._tasks.put((task_id, fn, arg))
+        try:
+            task = _dumps((fn, arg))
+        except Exception as exc:
+            self._backlog.append(
+                ("error", task_id, f"task cannot be pickled: {_describe(exc)}")
+            )
+        else:
+            self._tasks.put((task_id, task))
         return task_id
 
     @property
@@ -185,14 +210,15 @@ class WorkerPool:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            if self._lost_backlog:
-                task_id, reason = self._lost_backlog.popleft()
-                return ("lost", task_id, reason)
+            if self._backlog:
+                event = self._backlog.popleft()
+                self._outstanding.discard(event[1])
+                return event
             try:
                 kind, task_id, payload = self._events.get(timeout=0.05)
             except queuelib.Empty:
                 self._reap()
-                if self._lost_backlog:
+                if self._backlog:
                     continue
                 if deadline is not None and time.monotonic() >= deadline:
                     return None
@@ -201,18 +227,22 @@ class WorkerPool:
                 self._started[task_id] = payload
                 continue
             if task_id not in self._outstanding:
-                # late event for a task already reported lost; free its
-                # shared-memory segment so the orphaned result cannot leak
-                _shm.discard(payload)
-                continue
-            self._outstanding.discard(task_id)
-            self._started.pop(task_id, None)
-            if kind == "done" and isinstance(payload, _shm.ShmResult):
-                try:
-                    payload = _shm.unmarshal(payload)
-                except SubstrateError as exc:
-                    return ("error", task_id, f"{type(exc).__name__}: {exc}")
-            return (kind, task_id, payload)
+                continue  # late event for a task already reported lost
+            return self._deliver(kind, task_id, payload)
+
+    def _deliver(
+        self, kind: str, task_id: int, data: bytes
+    ) -> tuple[str, int, Any]:
+        """Retire a task and unpickle its worker-side payload."""
+        self._outstanding.discard(task_id)
+        self._started.pop(task_id, None)
+        try:
+            return (kind, task_id, pickle.loads(data))
+        except Exception as exc:
+            return (
+                "error", task_id,
+                f"result cannot be unpickled: {_describe(exc)}",
+            )
 
     def _reap(self) -> None:
         """Replace dead workers; queue losses for their in-flight tasks.
@@ -236,11 +266,9 @@ class WorkerPool:
                 self._started[ev[1]] = ev[2]
             else:
                 buffered.append(ev)
-        for kind, task_id, payload in buffered:
+        for kind, task_id, data in buffered:
             if task_id in self._outstanding:
-                self._outstanding.discard(task_id)
-                self._started.pop(task_id, None)
-                self._events.put((kind, task_id, payload))
+                self._backlog.append(self._deliver(kind, task_id, data))
         for i, p in sorted(dead, reverse=True):
             p.join(timeout=0.1)
             dead_pid, exitcode = p.pid, p.exitcode
@@ -252,6 +280,7 @@ class WorkerPool:
                     continue
                 self._started.pop(task_id, None)
                 self._outstanding.discard(task_id)
-                self._lost_backlog.append(
-                    (task_id, f"worker {dead_pid} died (exit code {exitcode})")
-                )
+                self._backlog.append((
+                    "lost", task_id,
+                    f"worker {dead_pid} died (exit code {exitcode})",
+                ))

@@ -3,8 +3,8 @@
 The evaluation grid (Figs. 2-11) is embarrassingly parallel: every
 trial is an independent, seeded simulation.  :class:`ParallelRunner`
 fans a list of :class:`TrialSpec` out over a
-:class:`concurrent.futures.ProcessPoolExecutor` and collects results
-back **in submission order**, so a parallel run is byte-identical to a
+:class:`~repro.orchestrate.pool.WorkerPool` and collects results back
+**in submission order**, so a parallel run is byte-identical to a
 serial one:
 
 * seeds are fixed in the specs *before* anything is submitted — they
@@ -24,33 +24,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.errors import ReproError
 from repro.orchestrate.cache import ResultCache, canonical_config
 from repro.orchestrate.pool import WorkerPool
-from repro.substrate import shm as _shm
 
 _MISS = object()
-
-
-@dataclass(frozen=True)
-class _Marshalled:
-    """Picklable wrapper shipping a trial's result via shared memory.
-
-    The executor path's counterpart of what :class:`WorkerPool` workers
-    do natively: the worker runs ``fn`` and parks a large columnar
-    result in a shared-memory segment, so only a tiny handle crosses
-    the process pipe.  The parent redeems the handle when it collects
-    the future.
-    """
-
-    fn: Callable[[Any], Any]
-
-    def __call__(self, spec: Any) -> Any:
-        return _shm.marshal(self.fn(spec))
 
 
 def derive_seed(*parts: Any) -> int:
@@ -98,11 +79,13 @@ class ParallelRunner:
     """Execute trial specs across processes, results in spec order.
 
     With ``pool`` set, trials run on that persistent
-    :class:`~repro.orchestrate.pool.WorkerPool` instead of a per-call
-    ``ProcessPoolExecutor`` — no pool spin-up or teardown per ``map``,
-    stable worker PIDs across calls, and the pool outlives the runner
-    (the caller owns its lifecycle).  This is how the serve scheduler
-    and any other long-running driver reuse workers across jobs.
+    :class:`~repro.orchestrate.pool.WorkerPool` — no pool spin-up or
+    teardown per ``map``, stable worker PIDs across calls, and the pool
+    outlives the runner (the caller owns its lifecycle).  This is how
+    the serve scheduler and any other long-running driver reuse workers
+    across jobs.  Without one, a ``workers > 1`` map opens a pool of
+    ``min(workers, misses)`` workers for the call and closes it before
+    returning.
     """
 
     def __init__(
@@ -128,10 +111,12 @@ class ParallelRunner:
     ) -> list[Any]:
         """Run ``fn(spec)`` for every spec; results in spec order.
 
-        With ``workers > 1``, ``fn`` and each spec's config must be
-        picklable (use a module-level function, or a
-        :func:`functools.partial` of one).  The first worker exception
-        propagates; remaining futures are cancelled.
+        With ``workers > 1``, ``fn``, each spec's config and each
+        result must be picklable (use a module-level function, or a
+        :func:`functools.partial` of one).  The first trial failure
+        propagates — an exception, or a task or result that cannot be
+        pickled; a per-call pool is then stopped without running the
+        remaining trials.
         """
         specs = list(specs)
         results: list[Any] = [None] * len(specs)
@@ -154,7 +139,7 @@ class ParallelRunner:
         )
         try:
             if self.pool is not None and pending:
-                self._map_on_pool(fn, pending, results)
+                self._map_on_pool(fn, pending, results, self.pool)
             elif self.workers == 1 or len(pending) <= 1:
                 for i, spec, key in pending:
                     value = fn(spec)
@@ -162,32 +147,8 @@ class ParallelRunner:
                     if key is not None:
                         self.cache.put(key, value)
             else:
-                n = min(self.workers, len(pending))
-                wrapped = _Marshalled(fn)
-                with ProcessPoolExecutor(max_workers=n) as pool:
-                    futures = {
-                        pool.submit(wrapped, spec): (i, key)
-                        for i, spec, key in pending
-                    }
-                    # if no worker raises, this waits for all of them
-                    done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-                    for fut in not_done:
-                        fut.cancel()
-                    error: BaseException | None = None
-                    for fut in futures:  # submission order
-                        if fut not in done:
-                            continue
-                        exc = fut.exception()
-                        if exc is not None:
-                            error = error or exc
-                            continue
-                        i, key = futures[fut]
-                        value = _shm.unmarshal(fut.result())
-                        results[i] = value
-                        if key is not None:
-                            self.cache.put(key, value)
-                    if error is not None:
-                        raise error
+                with WorkerPool(min(self.workers, len(pending))) as pool:
+                    self._map_on_pool(fn, pending, results, pool)
         finally:
             if self.cache is not None:
                 # how the hits were served (mmap'd columnar sidecar vs
@@ -203,19 +164,20 @@ class ParallelRunner:
         fn: Callable[[TrialSpec], Any],
         pending: list[tuple[int, TrialSpec, str | None]],
         results: list[Any],
+        pool: WorkerPool,
     ) -> None:
-        """Run the cache misses on the persistent pool (spec order kept).
+        """Run the cache misses on ``pool`` (spec order kept).
 
         A worker crash mid-trial is retried once on the replacement
-        worker the pool spawned; a second loss (or a trial exception)
-        propagates, mirroring the executor path's fail-fast contract.
+        worker the pool spawned; a second loss (or a trial failure)
+        propagates.
         """
         tasks = {
-            self.pool.submit(fn, spec): (i, spec, key, 0)
+            pool.submit(fn, spec): (i, spec, key, 0)
             for i, spec, key in pending
         }
         while tasks:
-            event = self.pool.next_event(timeout=None)
+            event = pool.next_event(timeout=None)
             kind, task_id, payload = event
             if task_id not in tasks:
                 continue  # a different owner's task (shared pool)
@@ -225,7 +187,7 @@ class ParallelRunner:
                 if key is not None:
                     self.cache.put(key, payload)
             elif kind == "lost" and retries < 1:
-                tasks[self.pool.submit(fn, spec)] = (i, spec, key, retries + 1)
+                tasks[pool.submit(fn, spec)] = (i, spec, key, retries + 1)
             elif kind == "lost":
                 raise ReproError(f"trial lost twice to worker crashes: {payload}")
             elif isinstance(payload, BaseException):

@@ -53,47 +53,82 @@ class RunOutcome:
     error: str | None = None
 
 
-class ServerClient:
-    """One connection to a :class:`~repro.serve.ProfilingServer`."""
+class JobClient:
+    """What every profiling-service client shares, whatever its wire.
+
+    Subclasses supply the ops (``submit``, ``stream``, ``results``);
+    this base turns a structured failure response into a
+    :class:`~repro.errors.ServeError` and runs the submit → stream →
+    results loop through ``self``, so a wrapped or patched op on the
+    subclass is the one that runs.
+    """
+
+    @staticmethod
+    def _checked(response: dict[str, Any]) -> dict[str, Any]:
+        if response.get("ok"):
+            return response
+        err = response.get("error") or {}
+        raise ServeError(
+            err.get("reason", "server reported an error"),
+            code=err.get("code", "bad_request"),
+            **{k: v for k, v in err.items() if k not in ("code", "reason")},
+        )
+
+    def run(
+        self,
+        spec: ScenarioSpec | dict,
+        priority: int = 0,
+        tenant: str | None = None,
+    ) -> RunOutcome:
+        """Submit, stream every row, then fetch the final results."""
+        ack = self.submit(spec, priority=priority, tenant=tenant)
+        job_id = ack["job_id"]
+        rows: list[dict] = []
+        state = "running"
+        error = None
+        for event in self.stream(job_id):
+            if event.get("event") == "row":
+                rows.append(
+                    {k: event[k] for k in ("index", "cached", "row")}
+                )
+            else:
+                state = event.get("state", "done")
+                error = event.get("error")
+        report = None
+        if state in ("done", "partial"):
+            report = self.results(job_id).get("report")
+        return RunOutcome(
+            job_id=job_id, state=state, rows=rows, report=report, error=error
+        )
+
+
+class ServerClient(JobClient):
+    """One connection to a :class:`~repro.serve.ProfilingServer`.
+
+    Connect attempts, backoff and socket timeouts follow ``policy``;
+    without one, the client makes 3 attempts with a jitter-free 0.1 s
+    base backoff, a 5 s connect timeout and ``timeout`` as the
+    per-request socket timeout.
+    """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 7123,
         timeout: float | None = 60.0,
-        connect_timeout: float = 5.0,
-        connect_retries: int = 2,
-        backoff_s: float = 0.1,
         policy: RetryPolicy | None = None,
         rng: random.Random | None = None,
     ) -> None:
         self.host = host
         self.port = port
         if policy is None:
-            # legacy kwargs synthesize a policy; jitter stays off for
-            # them so existing callers keep deterministic schedules
-            policy = RetryPolicy(
-                max_attempts=1 + max(0, int(connect_retries)),
-                base_backoff_s=backoff_s,
-                jitter=False,
-                op_timeout_s=timeout,
-                connect_timeout_s=connect_timeout,
-            )
+            # jitter stays off so the default schedule is deterministic
+            policy = RetryPolicy(jitter=False, op_timeout_s=timeout)
         #: the :class:`~repro.serve.RetryPolicy` governing connect
         #: attempts, backoff shape, socket timeouts, and the overall
         #: connect deadline
         self.policy = policy
         self.timeout = policy.op_timeout_s
-        #: per-attempt TCP connect ceiling — a dead or blackholed host
-        #: fails the attempt in bounded time instead of blocking on the
-        #: (much longer) request ``timeout``
-        self.connect_timeout = policy.connect_timeout_s
-        #: extra attempts after the first failure (0 = fail fast)
-        self.connect_retries = policy.max_attempts - 1
-        #: upper bound of retry ``k``'s backoff:
-        #: ``min(backoff_cap_s, backoff_s * 2**k)`` (full jitter draws
-        #: uniformly below it when the policy enables jitter)
-        self.backoff_s = policy.base_backoff_s
         self._rng = rng
         self._sock: socket.socket | None = None
         self._rfile = None
@@ -192,17 +227,6 @@ class ServerClient:
         if msg is None:
             raise ServeError("server closed the connection")
         return msg
-
-    @staticmethod
-    def _checked(response: dict[str, Any]) -> dict[str, Any]:
-        if response.get("ok"):
-            return response
-        err = response.get("error") or {}
-        raise ServeError(
-            err.get("reason", "server reported an error"),
-            code=err.get("code", "bad_request"),
-            **{k: v for k, v in err.items() if k not in ("code", "reason")},
-        )
 
     def _request(self, payload: dict[str, Any]) -> dict[str, Any]:
         self._send(payload)
@@ -303,32 +327,3 @@ class ServerClient:
         response = self._request({"op": "shutdown"})
         self.close()
         return response
-
-    # -- convenience -------------------------------------------------------
-
-    def run(
-        self,
-        spec: ScenarioSpec | dict,
-        priority: int = 0,
-        tenant: str | None = None,
-    ) -> RunOutcome:
-        """Submit, stream every row, then fetch the final results."""
-        ack = self.submit(spec, priority=priority, tenant=tenant)
-        job_id = ack["job_id"]
-        rows: list[dict] = []
-        state = "running"
-        error = None
-        for event in self.stream(job_id):
-            if event.get("event") == "row":
-                rows.append(
-                    {k: event[k] for k in ("index", "cached", "row")}
-                )
-            else:
-                state = event.get("state", "done")
-                error = event.get("error")
-        report = None
-        if state in ("done", "partial"):
-            report = self.results(job_id).get("report")
-        return RunOutcome(
-            job_id=job_id, state=state, rows=rows, report=report, error=error
-        )

@@ -57,7 +57,6 @@ from repro.serve import protocol
 from repro.serve.queue import Job, JobQueue
 from repro.serve.scheduler import Scheduler
 from repro.substrate import FORMAT_VERSION as SUBSTRATE_VERSION
-from repro.substrate import transport as shm_transport
 
 #: seconds a stream waits per poll before re-checking job state
 _STREAM_POLL_S = 0.1
@@ -420,6 +419,5 @@ class ProfilingServer(ServerBase):
             trials_executed=self.scheduler.trials_executed,
             trials_cached=self.scheduler.trials_cached,
             cached=self.cache is not None,
-            transport=shm_transport(),
             substrate=SUBSTRATE_VERSION,
         )

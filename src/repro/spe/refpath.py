@@ -10,12 +10,14 @@ golden-parity tests produce the reference side of the comparison without
 plumbing a flag through profiler, backends, and sessions.
 
 The toggle is mirrored into ``$REPRO_SPE_REFERENCE`` so it survives the
-:class:`~concurrent.futures.ProcessPoolExecutor` boundary: worker
-processes spawned *inside* a ``reference_path()`` scope (e.g. a
-``workers > 1`` sweep) inherit the environment and take the scalar path
-too.  Workers forked before the scope opened keep their own setting —
-process pools are created per ``ParallelRunner.map`` call, so in
-practice the scope covers them.
+process boundary: worker processes forked *inside* a
+``reference_path()`` scope (e.g. a ``workers > 1`` sweep) inherit the
+environment and take the scalar path too.  Workers forked before the
+scope opened keep their own setting — a ``ParallelRunner.map`` without
+a caller-owned pool forks a fresh
+:class:`~repro.orchestrate.pool.WorkerPool` per call, so in practice
+the scope covers them; a persistent pool opened outside the scope
+(the serve scheduler's) does not.
 """
 
 from __future__ import annotations

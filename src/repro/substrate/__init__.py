@@ -1,18 +1,15 @@
 """Zero-copy columnar result substrate.
 
-The data plane that moves profiling results between layers — worker to
-pool, pool to cache, cache to server — historically paid a full pickle
-round trip at every hop.  This package replaces the representation with
-a versioned, self-describing columnar payload (:mod:`.format`), an
-object codec pinned byte-identical to pickle (:mod:`.codec`), and a
-shared-memory transport (:mod:`.shm`):
+The on-disk representation of cached profiling results: a versioned,
+self-describing columnar payload (:mod:`.format`) and an object codec
+pinned byte-identical to pickle (:mod:`.codec`).  The result cache
+writes it as a ``.cols`` sidecar next to each pickled entry and serves
+warm hits from it by ``mmap``:
 
 * :func:`encode` / :func:`decode` — object tree <-> payload bytes, with
   ndarray leaves decoded as zero-copy views,
 * :func:`encode_payload` / :func:`decode_payload` — the raw container
   (meta tree + typed column buffers),
-* :func:`marshal` / :func:`unmarshal` — ship a result through a
-  ``multiprocessing.shared_memory`` segment instead of the pipe,
 * :func:`register` — opt a dataclass or enum into the codec.
 
 Pickle remains the fallback at every seam: :func:`encode` returns
@@ -34,33 +31,17 @@ from repro.substrate.format import (
     is_payload,
     payload_version,
 )
-from repro.substrate.shm import (
-    SHM_MIN_BYTES,
-    TRANSPORT_ENV,
-    ShmResult,
-    discard,
-    marshal,
-    transport,
-    unmarshal,
-)
 
 __all__ = [
     "ALIGN",
     "FORMAT_VERSION",
     "MAGIC",
-    "SHM_MIN_BYTES",
-    "TRANSPORT_ENV",
-    "ShmResult",
     "decode",
     "decode_payload",
-    "discard",
     "encodable",
     "encode",
     "encode_payload",
     "is_payload",
-    "marshal",
     "payload_version",
     "register",
-    "transport",
-    "unmarshal",
 ]

@@ -1,6 +1,9 @@
 """ParallelRunner: ordering, seeding, cache integration, fallback."""
 
+import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
@@ -26,6 +29,38 @@ def failing_trial(spec: TrialSpec) -> dict:
     if spec.config["value"] == 2:
         raise ValueError("trial 2 exploded")
     return {"ok": spec.config["value"]}
+
+
+def lock_trial(spec: TrialSpec) -> dict:
+    return {"lock": threading.Lock()}
+
+
+def fail_first_trial(spec: TrialSpec) -> dict:
+    if spec.config["value"] == 0:
+        raise ValueError("trial 0 exploded")
+    time.sleep(60)
+    return {"ok": spec.config["value"]}
+
+
+def bounded(call, timeout=10.0):
+    """Run ``call`` in a thread: fail past ``timeout`` instead of hanging."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # noqa: BLE001 - inspected by tests
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout}s"
+    return outcome
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
 
 
 def specs(n=6, experiment="runner-test"):
@@ -80,6 +115,43 @@ class TestParallel:
         runner.map(echo_trial, specs())
         rep = runner.last_report
         assert (rep.total, rep.cache_hits, rep.executed) == (6, 0, 6)
+
+
+class TestOneExecutor:
+    """``workers > 1`` without a caller pool runs on a per-call
+    :class:`~repro.orchestrate.WorkerPool`: failures surface fast and
+    nothing outlives the call."""
+
+    def test_unpicklable_fn_raises(self):
+        outcome = bounded(
+            lambda: ParallelRunner(workers=2).map(lambda s: s, specs(4))
+        )
+        assert isinstance(outcome.get("error"), ReproError)
+        assert "cannot be pickled" in str(outcome["error"])
+
+    def test_unpicklable_result_raises(self):
+        outcome = bounded(
+            lambda: ParallelRunner(workers=2).map(lock_trial, specs(4))
+        )
+        assert isinstance(outcome.get("error"), ReproError)
+        assert "lock" in str(outcome["error"])
+
+    def test_failure_stops_the_remaining_trials(self):
+        outcome = bounded(
+            lambda: ParallelRunner(workers=2).map(fail_first_trial, specs(4))
+        )
+        assert isinstance(outcome.get("error"), ValueError)
+        assert multiprocessing.active_children() == []
+
+    def test_sequential_maps_leave_no_workers_or_fds(self):
+        runner = ParallelRunner(workers=2)
+        runner.map(echo_trial, specs(4))  # settle lazily-opened fds
+        fds_before = open_fds()
+        for _ in range(20):
+            out = runner.map(echo_trial, specs(4))
+            assert [r["value"] for r in out] == [0, 10, 20, 30]
+            assert multiprocessing.active_children() == []
+        assert open_fds() <= fds_before
 
 
 class TestWorkerCount:

@@ -7,7 +7,9 @@ change and the parent must not leak file descriptors.
 """
 
 import os
+import pickle
 import signal
+import threading
 import time
 
 import pytest
@@ -34,6 +36,23 @@ def unpicklable_error_task(x):
         pass
 
     raise Local("inner detail")
+
+
+def lock_task(x):
+    return {"lock": threading.Lock()}
+
+
+def profile_task(seed):
+    """A ``ProfileResult`` whose pickle is well over 1 MiB."""
+    from repro.machine import small_test_machine
+    from repro.nmo import NmoMode, NmoProfiler, NmoSettings
+    from repro.workloads import StreamWorkload
+
+    workload = StreamWorkload(
+        small_test_machine(), n_threads=2, n_elems=1 << 19, iterations=1
+    )
+    settings = NmoSettings(enable=True, mode=NmoMode.SAMPLING, period=16)
+    return NmoProfiler(workload, settings, seed=seed).run()
 
 
 def stall_task(x):
@@ -115,6 +134,50 @@ class TestTaskFlow:
     def test_needs_at_least_one_worker(self):
         with pytest.raises(ReproError):
             WorkerPool(workers=0)
+
+
+class TestPicklingFailures:
+    """A task or result that cannot cross the process boundary is an
+    ``error`` event for that task — never a task outstanding forever."""
+
+    def test_unpicklable_task_reports_error(self):
+        with WorkerPool(workers=1) as pool:
+            task_id = pool.submit(lambda x: x, 1)
+            event = pool.next_event(timeout=10)
+            assert event is not None, "unpicklable task never reported"
+            kind, got_id, payload = event
+            assert (kind, got_id) == ("error", task_id)
+            assert "cannot be pickled" in payload
+            assert pool.outstanding == 0
+
+    def test_unpicklable_result_reports_error(self):
+        with WorkerPool(workers=1) as pool:
+            task_id = pool.submit(lock_task, 1)
+            event = pool.next_event(timeout=10)
+            assert event is not None, "unpicklable result never reported"
+            kind, got_id, payload = event
+            assert (kind, got_id) == ("error", task_id)
+            assert "lock" in payload
+            assert pool.outstanding == 0
+
+    def test_pool_keeps_serving_after_pickling_failures(self):
+        with WorkerPool(workers=1) as pool:
+            pool.submit(lambda x: x, 1)
+            pool.submit(lock_task, 2)
+            pool.submit(echo_task, 3)
+            kinds = [pool.next_event(timeout=10)[0] for _ in range(3)]
+        assert sorted(kinds) == ["done", "error", "error"]
+
+
+class TestLargeResults:
+    def test_profile_result_crosses_byte_identical(self):
+        local = pickle.dumps(profile_task(5))
+        assert len(local) > 1 << 20
+        with WorkerPool(workers=1) as pool:
+            pool.submit(profile_task, 5)
+            kind, _tid, payload = pool.next_event(timeout=60)
+        assert kind == "done"
+        assert pickle.dumps(payload) == local
 
 
 class TestWorkerReuse:
@@ -204,6 +267,22 @@ class TestCrashRecovery:
             kind, _tid, payload = pool.next_event(timeout=30)
         assert kind == "done"
         assert payload["value"] == 30
+
+    def test_done_event_drained_by_the_reaper_is_delivered(self):
+        # the reaper drains events a dead worker flushed before dying;
+        # a done event found that way must still reach the caller
+        with WorkerPool(workers=1) as pool:
+            task_id = pool.submit(echo_task, 4)
+            time.sleep(0.3)  # let the worker finish and flush the event
+            victim = pool._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            pool._reap()
+            event = pool.next_event(timeout=10)
+        assert event is not None, "drained done event was dropped"
+        kind, got_id, payload = event
+        assert (kind, got_id) == ("done", task_id)
+        assert payload["value"] == 40
 
     def test_runner_on_pool_retries_lost_trial_once(self, tmp_path):
         pidfile = tmp_path / "pid"

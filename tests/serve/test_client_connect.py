@@ -21,6 +21,13 @@ def server():
         yield srv
 
 
+def fixed_policy(attempts, backoff_s, **kw):
+    """A jitter-free policy: sleeps are the exact exponential bounds."""
+    return RetryPolicy(
+        max_attempts=attempts, base_backoff_s=backoff_s, jitter=False, **kw
+    )
+
+
 def closed_port():
     """A port nothing listens on (bound then immediately released)."""
     with socket.socket() as s:
@@ -32,7 +39,7 @@ class TestConnectRetry:
     def test_dead_host_fails_with_structured_error(self):
         port = closed_port()
         client = ServerClient(
-            "127.0.0.1", port, connect_retries=2, backoff_s=0.01
+            "127.0.0.1", port, policy=fixed_policy(3, backoff_s=0.01)
         )
         with pytest.raises(ServeError) as exc:
             client.connect()
@@ -44,21 +51,20 @@ class TestConnectRetry:
 
     def test_zero_retries_fails_fast(self):
         client = ServerClient(
-            "127.0.0.1", closed_port(), connect_retries=0, backoff_s=0.01
+            "127.0.0.1", closed_port(), policy=fixed_policy(1, backoff_s=0.01)
         )
         with pytest.raises(ServeError) as exc:
             client.connect()
         assert exc.value.details["attempts"] == 1
 
     def test_backoff_is_exponential(self, monkeypatch):
-        # legacy kwargs synthesize a jitter-free policy, so the sleeps
-        # are the exact exponential bounds
+        # a jitter-free policy sleeps the exact exponential bounds
         sleeps = []
         monkeypatch.setattr(
             "repro.serve.client.time.sleep", sleeps.append
         )
         client = ServerClient(
-            "127.0.0.1", closed_port(), connect_retries=3, backoff_s=0.1
+            "127.0.0.1", closed_port(), policy=fixed_policy(4, backoff_s=0.1)
         )
         with pytest.raises(ServeError):
             client.connect()
@@ -66,7 +72,7 @@ class TestConnectRetry:
 
     def test_connect_failed_reports_elapsed_time(self):
         client = ServerClient(
-            "127.0.0.1", closed_port(), connect_retries=0, backoff_s=0.0
+            "127.0.0.1", closed_port(), policy=fixed_policy(1, backoff_s=0.0)
         )
         with pytest.raises(ServeError) as exc:
             client.connect()
@@ -127,7 +133,7 @@ class TestPolicyConnect:
         with ServerClient(*server.address, policy=policy) as client:
             assert client._sock.gettimeout() == 12.5
         assert client.timeout == 12.5
-        assert client.connect_timeout == 1.25
+        assert client.policy.connect_timeout_s == 1.25
 
     def test_transient_refusal_is_retried_to_success(
         self, server, monkeypatch
@@ -145,7 +151,7 @@ class TestPolicyConnect:
             "repro.serve.client.socket.create_connection", flaky
         )
         with ServerClient(
-            *server.address, connect_retries=2, backoff_s=0.01
+            *server.address, policy=fixed_policy(3, backoff_s=0.01)
         ) as client:
             assert client.ping()["workers"] == 1
         assert failures[0] == 0
@@ -161,12 +167,27 @@ class TestPolicyConnect:
             "repro.serve.client.socket.create_connection", capture
         )
         client = ServerClient(
-            "127.0.0.1", 7123, connect_timeout=1.5,
-            connect_retries=1, backoff_s=0.0,
+            "127.0.0.1", 7123,
+            policy=fixed_policy(2, backoff_s=0.0, connect_timeout_s=1.5),
         )
         with pytest.raises(ServeError):
             client.connect()
         assert seen == [1.5, 1.5]
+
+
+    def test_default_policy(self):
+        client = ServerClient("127.0.0.1", 7123, timeout=7.0)
+        policy = client.policy
+        assert policy.max_attempts == 3
+        assert policy.base_backoff_s == 0.1
+        assert policy.jitter is False
+        assert policy.connect_timeout_s == 5.0
+        assert policy.op_timeout_s == client.timeout == 7.0
+
+    def test_retry_knobs_live_on_the_policy_only(self):
+        for kwarg in ("connect_timeout", "connect_retries", "backoff_s"):
+            with pytest.raises(TypeError):
+                ServerClient("127.0.0.1", 7123, **{kwarg: 1})
 
 
 class TestHandshake:

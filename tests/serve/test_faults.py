@@ -12,6 +12,7 @@ function at dispatch time, then ships it to the worker by reference.
 import os
 import signal
 import socket
+import threading
 import time
 from pathlib import Path
 
@@ -43,6 +44,10 @@ def slow_trial(machine, tspec):
     kw = tspec.config["kwargs"]
     time.sleep(kw.get("stall", 1.0))
     return {"metric": float(tspec.seed)}
+
+
+def unpicklable_trial(machine, tspec):
+    return {"metric": float(tspec.seed), "lock": threading.Lock()}
 
 
 def fault_spec(name, scratch, stall, trials=1, seed=100):
@@ -137,6 +142,23 @@ class TestWorkerDeath:
                 after = set(c.ping()["worker_pids"])
         assert len(after) == 2
         assert dead in before and dead not in after
+
+
+class TestUnpicklableResult:
+    def test_job_fails_instead_of_hanging(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(TRIAL_FNS, "profile", unpicklable_trial)
+        spec = fault_spec("unpicklable", tmp_path, stall=0, seed=500)
+        with ProfilingServer(port=0, workers=1) as srv:
+            with ServerClient(*srv.address) as c:
+                ack = c.submit(spec)
+                assert wait_for(
+                    lambda: c.status(ack["job_id"])["state"] == "failed",
+                    timeout=10,
+                ), "job with an unpicklable result never failed"
+                snap = c.status(ack["job_id"])
+                # the server keeps serving after the failure
+                assert c.ping()["workers"] == 1
+        assert "cannot be pickled" in snap["error"]
 
 
 class TestClientDisconnect:

@@ -112,7 +112,7 @@ class TestArchitectureDoc:
     def test_parallel_exhibits_invariants_stated(self):
         doc = (ROOT / "docs" / "architecture.md").read_text()
         assert "byte-identical" in doc
-        assert "ProcessPoolExecutor" in doc
+        assert "WorkerPool" in doc
         assert PARALLEL_EXPERIMENTS
 
 
